@@ -281,7 +281,7 @@ class LlmReplica:
         params: EngineParams,
         stats: Optional[EngineStats] = None,
         on_first_token: Optional[Callable[[Sequence, float], None]] = None,
-        on_token: Optional[Callable[[Sequence, float], None]] = None,
+        on_token_gaps: Optional[Callable[[float, int], None]] = None,
         on_preempt_resume: Optional[Callable[[Sequence, float], None]] = None,
     ) -> None:
         self.harness = harness
@@ -294,12 +294,30 @@ class LlmReplica:
         self._prefix_cache = _PrefixCache(params.prefix_cache_entries)
         self._wake: Optional[Event] = None
         #: ``on_first_token(seq, ttft_seconds)`` — TTFT observation;
-        #: ``on_token(seq, gap_seconds)`` — inter-token latency;
-        #: ``on_preempt_resume(seq, stall_seconds)`` — time the
-        #: sequence spent evicted from the batch.
+        #: ``on_token_gaps(gap_seconds, count)`` — ``count`` consecutive
+        #: inter-token latencies of one step that all equal
+        #: ``gap_seconds`` (a step's gaps arrive as runs of equal values,
+        #: in decode order); ``on_preempt_resume(seq, stall_seconds)`` —
+        #: time the sequence spent evicted from the batch.
         self.on_first_token = on_first_token
-        self.on_token = on_token
+        self.on_token_gaps = on_token_gaps
         self.on_preempt_resume = on_preempt_resume
+        # A decode step's (user, kernel) seconds by batch size, with the
+        # arithmetic of ``harness.burst`` (bit-identical durations).
+        kernel_frac = harness.chars.kernel_frac
+        batch = harness.config.batch
+        self._decode_dispatches = batch
+        self._decode_seconds = []
+        for residents in range(params.max_batch_slots + 1):
+            seconds = (
+                harness.server.service_seconds(
+                    params.decode_step_instructions(residents)
+                )
+                * batch
+            )
+            self._decode_seconds.append(
+                (seconds * (1.0 - kernel_frac), seconds * kernel_frac)
+            )
         self.env.process(self._loop())
 
     # --- client API -----------------------------------------------------------
@@ -319,8 +337,13 @@ class LlmReplica:
         return len(self.active)
 
     # --- engine loop ----------------------------------------------------------
-    def _admit(self) -> None:
-        """Move queued sequences into free slots while KV budget allows."""
+    def _admit(self) -> List[Sequence]:
+        """Move queued sequences into free slots while KV budget allows.
+
+        Returns the admitted sequences, in admission order: exactly the
+        residents that need a prefill this step.
+        """
+        admitted: List[Sequence] = []
         while self.pending and len(self.active) < self.params.max_batch_slots:
             seq = self.pending[0]
             need = seq.context_tokens
@@ -340,6 +363,8 @@ class LlmReplica:
                     self.on_preempt_resume(seq, self.env.now - seq.preempted_at)
                 seq.preempted_at = None
             self.active.append(seq)
+            admitted.append(seq)
+        return admitted
 
     def _prefill_discount(self, seq: Sequence) -> int:
         """Uncharged prompt tokens thanks to the prefix cache."""
@@ -389,13 +414,19 @@ class LlmReplica:
         env = self.env
         params = self.params
         stats = self.stats
+        kv = self.kv
+        active = self.active
+        execute = self.harness.scheduler.execute
+        decode_seconds = self._decode_seconds
+        dispatches = self._decode_dispatches
+        on_first_token = self.on_first_token
+        on_token_gaps = self.on_token_gaps
         while True:
-            if not self.active and not self.pending:
+            if not active and not self.pending:
                 self._wake = Event(env)
                 yield self._wake
                 self._wake = None
-            self._admit()
-            fresh = [s for s in self.active if s.needs_prefill]
+            fresh = self._admit()
             if fresh:
                 instructions = 0.0
                 for seq in fresh:
@@ -409,31 +440,49 @@ class LlmReplica:
                     seq.needs_prefill = False
                 if instructions > 0:
                     yield from self.harness.burst(instructions)
-            if not self.active:
+            if not active:
                 continue
-            yield from self.harness.burst(
-                params.decode_step_instructions(len(self.active))
-            )
+            user_seconds, kernel_seconds = decode_seconds[len(active)]
+            yield from execute(user_seconds, kernel_seconds, dispatches)
             stats.steps += 1
             now = env.now
-            for seq in list(self.active):
+            decoded = 0
+            # The step's inter-token gaps, delivered as runs of equal
+            # values: ``gap_count`` gaps of ``gap`` seconds are pending.
+            gap = 0.0
+            gap_count = 0
+            for seq in list(active):
                 if seq.needs_prefill:
                     continue  # preempted by an earlier sequence's growth
-                if not self._grow_kv(seq):
+                if kv.resident_tokens < kv.budget_tokens:
+                    # Room for one more KV token: _grow_kv's common case.
+                    kv.resident_tokens += 1
+                    if kv.resident_tokens > kv.peak_tokens:
+                        kv.peak_tokens = kv.resident_tokens
+                    seq.kv_tokens += 1
+                elif not self._grow_kv(seq):
                     continue
                 seq.decoded += 1
-                stats.decoded_tokens += 1
+                decoded += 1
                 if seq.first_token_at is None:
                     seq.first_token_at = now
-                    if self.on_first_token is not None:
-                        self.on_first_token(seq, now - seq.submitted_at)
-                elif self.on_token is not None:
-                    self.on_token(seq, now - seq.last_token_at)
+                    if on_first_token is not None:
+                        on_first_token(seq, now - seq.submitted_at)
+                elif on_token_gaps is not None:
+                    seq_gap = now - seq.last_token_at
+                    if seq_gap != gap and gap_count:
+                        on_token_gaps(gap, gap_count)
+                        gap_count = 0
+                    gap = seq_gap
+                    gap_count += 1
                 seq.last_token_at = now
                 if seq.decoded >= seq.target_tokens:
-                    self.active.remove(seq)
-                    self.kv.release(seq.kv_tokens)
+                    active.remove(seq)
+                    kv.release(seq.kv_tokens)
                     seq.kv_tokens = 0
                     stats.completions += 1
                     assert seq.done is not None
                     seq.done.succeed()
+            if gap_count:
+                on_token_gaps(gap, gap_count)
+            stats.decoded_tokens += decoded

@@ -83,11 +83,13 @@ class BucketedHistogram:
         return (((index - shift * sub) + 1) << shift) - 1
 
     # -- recording -------------------------------------------------------------
-    def record(self, seconds: float) -> None:
+    def record(self, seconds: float, count: int = 1) -> None:
+        """Count ``seconds`` once, or ``count`` times (bucket counts add
+        exactly, so one call equals ``count`` single records)."""
         units = self._units(seconds)
         index = self._index(units)
-        self._counts[index] = self._counts.get(index, 0) + 1
-        self._total += 1
+        self._counts[index] = self._counts.get(index, 0) + count
+        self._total += count
         if units > self._max_units:
             self._max_units = units
 
@@ -198,6 +200,17 @@ class LatencyRecorder:
             self._hist.record(latency_seconds)
             return
         self._samples.append(latency_seconds)
+        self._sorted = False
+
+    def record_run(self, latency_seconds: float, count: int) -> None:
+        """Record ``count`` equal latencies, as ``count`` :meth:`record`
+        calls would (exact-backend samples keep their order)."""
+        if latency_seconds < 0:
+            raise ValueError("latency must be non-negative")
+        if self._hist is not None:
+            self._hist.record(latency_seconds, count)
+            return
+        self._samples.extend([latency_seconds] * count)
         self._sorted = False
 
     def record_error(self) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.faults.errors import ServerUnavailableError
 from repro.oskernel.kernel import KernelVersion
-from repro.sim.engine import Environment
+from repro.sim.engine import PROCESSED, Environment
 from repro.sim.resources import Resource
 
 
@@ -119,10 +119,6 @@ class CpuScheduler:
                 table.append(speedup - frac * (speedup - 1.0))
         self._speedup_by_count = table
 
-    def _current_speedup(self) -> float:
-        """Execution speedup at the current core occupancy."""
-        return self._speedup_by_count[self.cores.count]
-
     @property
     def dispatch_overhead_seconds(self) -> float:
         """Kernel cost charged per dispatch (switch + load-avg update).
@@ -163,17 +159,40 @@ class CpuScheduler:
             raise ServerUnavailableError(
                 "server is down (simulated crash/restart in progress)"
             )
-        request = self.cores.request()
-        try:
-            yield request
-        except BaseException:
-            # Interrupted (abandoned request / deadline) while waiting
-            # for — or at the instant of being granted — a core: hand
-            # the slot back so it cannot leak.
-            self.cores.release(request)
-            raise
-        speedup = self._current_speedup()
-        overhead = self.dispatch_overhead_seconds * dispatches
+        cores = self.cores
+        # A free core is granted on the spot, with no request event: the
+        # process yields the already-processed marker instead, which
+        # costs the same one turn (and sequence number) through the
+        # at-now order that a granted request's dispatch would.
+        if cores.try_acquire():
+            request = None
+            try:
+                yield PROCESSED
+            except BaseException:
+                # Interrupted at the instant of the grant: hand the core
+                # back so it cannot leak.
+                cores.release_slot()
+                raise
+        else:
+            request = cores.request()
+            try:
+                yield request
+            except BaseException:
+                # Interrupted (abandoned request / deadline) while
+                # waiting for — or at the instant of being granted — a
+                # core: hand the slot back so it cannot leak.
+                cores.release(request)
+                raise
+        # Speedup at the current occupancy and the overhead cache (see
+        # dispatch_overhead_seconds), read inline: this runs per burst.
+        speedup = self._speedup_by_count[cores._in_use]
+        freq = self.freq_ghz
+        if freq != self._overhead_freq:
+            self._overhead_freq = freq
+            self._overhead_cached = (
+                self._overhead_base + self._overhead_cycles / (freq * 1e9)
+            )
+        overhead = self._overhead_cached * dispatches
         duration = (user_seconds + kernel_seconds) / speedup + overhead
         duration *= self.fault_slowdown
         # Guarded so runs without an active brownout response skip the
@@ -184,8 +203,12 @@ class CpuScheduler:
         try:
             yield self.env.sleep(duration)
         finally:
-            self.cores.release(request)
-            self.stats.busy_seconds += duration
-            self.stats.kernel_seconds += kernel_seconds
-            self.stats.overhead_seconds += overhead
-            self.stats.dispatch_count += dispatches
+            if request is None:
+                cores.release_slot()
+            else:
+                cores.release(request)
+            stats = self.stats
+            stats.busy_seconds += duration
+            stats.kernel_seconds += kernel_seconds
+            stats.overhead_seconds += overhead
+            stats.dispatch_count += dispatches

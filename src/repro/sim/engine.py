@@ -24,6 +24,36 @@ The hot path is deliberately allocation-lean:
   (:meth:`Environment.sleep`) are recycled through per-environment
   freelists, so a steady-state request loop allocates approximately
   zero event objects per request.
+* A process whose resume would be the very next entry the loop
+  processes is continued in place instead of going through the queue
+  (*direct continuation*, see below).
+
+Direct continuation
+-------------------
+When a running process yields an event that is already triggered, the
+loop would normally queue the process's resume at ``(now, seq)`` and
+pop it again a moment later.  :meth:`Process._resume` skips that round
+trip, but only when the resume is provably the next entry in the global
+``(time, seq)`` order, so the total order of callbacks is the one the
+queue would have produced.  All of these must hold:
+
+* the yielded event is either the *only* entry due now (the sole deque
+  entry) with no other subscriber, or it was already processed and no
+  entry at all is due now;
+* no heap entry is due at ``now``;
+* :meth:`Environment.run` is active, has not been stopped, and ``now``
+  is strictly before its ``until`` bound (an entry created at the bound
+  would not fire in this call);
+* the event being dispatched has only this one callback, so no other
+  callback of the same dispatch would run in between (``_resume`` is
+  always the last thing its dispatch does: it is the callback itself,
+  or the tail call of ``Process._deliver_interrupt``).
+
+The continuation takes the sequence number the queue entry would have
+taken (for an already-processed event; a triggered one took it when it
+was triggered), so ``_seq`` — the engine's event count — and every later
+sequence number are unchanged.  :meth:`Environment.step` never
+continues in place and serves as the reference order in tests.
 """
 
 from __future__ import annotations
@@ -49,6 +79,7 @@ class StopSimulation(Exception):
 
 
 PENDING = object()
+_NEG_INF = float("-inf")
 
 
 class Event:
@@ -263,57 +294,104 @@ class Process(Event):
 
         Direct ``send``/``throw`` dispatch: no per-step closure, no
         intermediate ``_step`` frame.  This is the single hottest
-        function in the simulator.
+        function in the simulator.  When the yielded event's resume
+        would be the next entry the run loop processes, the generator
+        is continued here instead (see the module docstring); the loop
+        repeats until it yields an event that must wait.
         """
         self._target = None
         env = self.env
         generator = self._generator
-        try:
-            if event._ok:
-                target = generator.send(event._value)
-            else:
-                target = generator.throw(event._value)
-        except StopIteration as stop:
-            self._value = stop.value
-            env._fifo.append((env.now, env._seq, self))
-            env._seq += 1
+        while True:
+            try:
+                if event._ok:
+                    target = generator.send(event._value)
+                else:
+                    target = generator.throw(event._value)
+            except StopIteration as stop:
+                self._value = stop.value
+                env._fifo.append((env.now, env._seq, self))
+                env._seq += 1
+                return
+            except Interrupt:
+                # An unhandled interrupt terminates the process quietly.
+                self._value = None
+                env._fifo.append((env.now, env._seq, self))
+                env._seq += 1
+                return
+            except BaseException as exc:
+                if isinstance(exc, StopSimulation):
+                    raise
+                # Any other uncaught exception fails the process event,
+                # so waiters (joins, races, resilience retries) see it
+                # as a failure.  If nobody waits on the process, the
+                # orphan rule in the run loop re-raises it — an
+                # unhandled error still stops the simulation.
+                self._ok = False
+                self._value = exc
+                env._fifo.append((env.now, env._seq, self))
+                env._seq += 1
+                return
+            try:
+                callbacks = target.callbacks
+            except AttributeError:
+                raise SimulationError(
+                    f"process yielded a non-event: {target!r} "
+                    "(yield env.timeout(...) or another Event)"
+                ) from None
+            # Direct continuation (module docstring): cheapest test
+            # first — the at-now deque must hold nothing else.
+            if callbacks is None:
+                if not env._fifo:
+                    now = env.now
+                    queue = env._queue
+                    if (
+                        now < env._until
+                        and not env._stopped
+                        and (not queue or queue[0][0] > now)
+                    ):
+                        # Already processed and nothing else due: take
+                        # the resume entry's sequence number, go on.
+                        env._seq += 1
+                        event = target
+                        continue
+                # The event already fired (e.g. joining on a fanout
+                # where some branches finished first): resume at the
+                # current time via the queue, carrying the same outcome.
+                self._target = env._schedule_resume(
+                    self._resume_fn, target._ok, target._value
+                )
+                return
+            if not callbacks:
+                fifo = env._fifo
+                if len(fifo) == 1 and fifo[0][2] is target:
+                    now = env.now
+                    queue = env._queue
+                    if (
+                        now < env._until
+                        and not env._stopped
+                        and (not queue or queue[0][0] > now)
+                    ):
+                        # Triggered, the only entry due now, and no
+                        # other subscriber: process it here.
+                        fifo.pop()
+                        target.callbacks = None
+                        event = target
+                        continue
+            self._target = target
+            callbacks.append(self._resume_fn)
             return
-        except Interrupt:
-            # An unhandled interrupt terminates the process quietly.
-            self._value = None
-            env._fifo.append((env.now, env._seq, self))
-            env._seq += 1
-            return
-        except BaseException as exc:
-            if isinstance(exc, StopSimulation):
-                raise
-            # Any other uncaught exception fails the process event, so
-            # waiters (joins, races, resilience retries) see it as a
-            # failure.  If nobody waits on the process, the orphan rule
-            # in the run loop re-raises it — an unhandled error still
-            # stops the simulation.
-            self._ok = False
-            self._value = exc
-            env._fifo.append((env.now, env._seq, self))
-            env._seq += 1
-            return
-        try:
-            callbacks = target.callbacks
-        except AttributeError:
-            raise SimulationError(
-                f"process yielded a non-event: {target!r} "
-                "(yield env.timeout(...) or another Event)"
-            ) from None
-        if callbacks is None:
-            # The event already fired (e.g. joining on a fanout where
-            # some branches finished first): resume at the current time
-            # via the queue, carrying the same outcome.
-            self._target = env._schedule_resume(
-                self._resume_fn, target._ok, target._value
-            )
-            return
-        self._target = target
-        callbacks.append(self._resume_fn)
+
+
+#: An event that has already been processed (successfully, value
+#: ``None``).  Yielding it takes the process one turn through the
+#: at-now order — exactly like yielding an event triggered at this
+#: instant — without allocating one; see ``CpuScheduler.execute``.
+PROCESSED = Event.__new__(Event)
+PROCESSED.env = None
+PROCESSED.callbacks = None
+PROCESSED._value = None
+PROCESSED._ok = True
 
 
 class Environment:
@@ -339,6 +417,10 @@ class Environment:
         self._fifo: "deque[Tuple[float, int, Event]]" = deque()
         self._seq = 0
         self._stopped = False
+        #: The active ``run`` call's bound, read by direct continuation;
+        #: ``-inf`` outside ``run`` and while a multi-callback event is
+        #: dispatched, which disables continuing in place.
+        self._until = _NEG_INF
         self._resume_pool: List[_Resume] = []
         self._timeout_pool: List[_PooledTimeout] = []
 
@@ -481,6 +563,7 @@ class Environment:
         resume_pool = self._resume_pool
         timeout_pool = self._timeout_pool
         pool_limit = self._POOL_LIMIT
+        self._until = bound
         try:
             while True:
                 # Two-way merge: the deque holds at-``now`` entries (always
@@ -524,8 +607,10 @@ class Environment:
                         callbacks[0](event)
                         callbacks.clear()
                     elif callbacks:
+                        self._until = _NEG_INF
                         for callback in callbacks:
                             callback(event)
+                        self._until = bound
                         callbacks.clear()
                     event._value = None
                     if len(resume_pool) < pool_limit:
@@ -536,8 +621,10 @@ class Environment:
                         callbacks[0](event)
                         callbacks.clear()
                     elif callbacks:
+                        self._until = _NEG_INF
                         for callback in callbacks:
                             callback(event)
+                        self._until = bound
                         callbacks.clear()
                     if len(timeout_pool) < pool_limit:
                         timeout_pool.append(event)
@@ -547,8 +634,10 @@ class Environment:
                     if len(callbacks) == 1:
                         callbacks[0](event)
                     elif callbacks:
+                        self._until = _NEG_INF
                         for callback in callbacks:
                             callback(event)
+                        self._until = bound
                     elif not event._ok:
                         # A failed event nobody waited on: surface it.
                         raise event._value
@@ -556,6 +645,8 @@ class Environment:
                     return
         except StopSimulation:
             return
+        finally:
+            self._until = _NEG_INF
         # Queue drained before the bound: a bounded run still ends with
         # the clock at ``until`` (the sentinel used to guarantee this).
         if until is not None:

@@ -161,6 +161,28 @@ class Resource:
         """Claim a slot; the returned event fires once granted."""
         return ResourceRequest(self)
 
+    def try_acquire(self) -> bool:
+        """Take a free slot at once, without a request event.
+
+        Succeeds only when a slot is free and nobody is queued, i.e.
+        exactly when :meth:`request` would grant on the spot.  The
+        caller yields :data:`repro.sim.engine.PROCESSED` in place of the
+        granted request (the same one turn through the at-now order)
+        and hands the slot back with :meth:`release_slot`.
+        """
+        if self._in_use < self.capacity and not self._waiters:
+            self._in_use += 1
+            return True
+        return False
+
+    def release_slot(self) -> None:
+        """Return a held slot (one taken with :meth:`try_acquire`, or a
+        granted request's); raises if no slot is held."""
+        self._in_use -= 1
+        if self._in_use < 0:
+            raise RuntimeError("resource released more times than acquired")
+        self._trigger()
+
     def release(self, request: ResourceRequest) -> None:
         """Return a previously granted slot."""
         if request.resource is not self:
@@ -172,10 +194,7 @@ class Resource:
             except ValueError:
                 pass
             return
-        self._in_use -= 1
-        if self._in_use < 0:
-            raise RuntimeError("resource released more times than acquired")
-        self._trigger()
+        self.release_slot()
 
     def _trigger(self) -> None:
         while self._waiters and self._in_use < self.capacity:

@@ -108,9 +108,6 @@ class LlmBench(Workload):
         def on_first_token(seq: Sequence, seconds: float) -> None:
             ttft.record(seconds)
 
-        def on_token(seq: Sequence, seconds: float) -> None:
-            itl.record(seconds)
-
         on_preempt_resume = None
         if slo_tracker is not None:
 
@@ -125,7 +122,7 @@ class LlmBench(Workload):
                 params,
                 stats=engine_stats,
                 on_first_token=on_first_token,
-                on_token=on_token,
+                on_token_gaps=itl.record_run,
                 on_preempt_resume=on_preempt_resume,
             )
             for _ in range(num_replicas)

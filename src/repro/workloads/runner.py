@@ -342,11 +342,13 @@ class BenchmarkHarness:
         ``dispatches_per_request`` is the number of production-side
         scheduling events this burst represents per request (e.g. a
         cache-miss path that naps on the backend wakes the thread
-        again); it multiplies with the batch factor.
+        again); it multiplies with the batch factor.  Returns the
+        scheduler's generator itself (use ``yield from``), so a burst
+        costs no wrapping generator frame.
         """
         kf = self.chars.kernel_frac if kernel_frac is None else kernel_frac
         seconds = self.server.service_seconds(instructions) * self.config.batch
-        yield from self.scheduler.execute(
+        return self.scheduler.execute(
             seconds * (1.0 - kf),
             seconds * kf,
             dispatches=self.config.batch * dispatches_per_request,

@@ -171,6 +171,55 @@ class TestKvExhaustion:
         assert replica.kv.overflow_tokens > 0
 
 
+class TestTightKvStep:
+    """Pins the parent implementation's counters for a tight-KV run in
+    which a completion and a preemption land in the same engine step,
+    so the decode-step fast path (inlined KV reservation, admitted list,
+    batched gap recording) provably keeps the same bookkeeping."""
+
+    def test_completion_and_preemption_in_one_step(self):
+        params = EngineParams(
+            max_batch_slots=3, kv_budget_bytes=60.0 * 160_000.0
+        )
+        harness = _harness()
+        replica = LlmReplica(harness, params)
+        preempted_at = []
+        preempt = replica._preempt
+
+        def recording_preempt(victim):
+            preempted_at.append(harness.env.now)
+            preempt(victim)
+
+        replica._preempt = recording_preempt
+        seqs = [
+            Sequence(i, prompt, output)
+            for i, (prompt, output) in enumerate(
+                [(25, 5), (27, 32), (31, 58), (13, 43)]
+            )
+        ]
+        done = [replica.submit(seq) for seq in seqs]
+
+        def waiter():
+            for event in done:
+                yield event
+            harness.env.stop()
+
+        harness.env.process(waiter())
+        harness.env.run(until=120.0)
+        completed_at = {seq.last_token_at for seq in seqs}
+        assert completed_at & set(preempted_at)
+        assert replica.stats == EngineStats(
+            steps=122, completions=4, prefill_tokens=173,
+            cached_prefix_tokens=0, decoded_tokens=138, preemptions=3,
+            admission_blocked_steps=86, max_queue_depth=4,
+            prefix_lookups=0, prefix_hits=0,
+        )
+        assert replica.kv.peak_tokens == 89
+        assert replica.kv.overflow_tokens == 435
+        assert replica.kv.resident_tokens == 0
+        assert harness.env._seq == 260
+
+
 class TestPrefixCache:
     def test_shared_prefix_discounts_prefill(self):
         harness = _harness()
@@ -228,7 +277,7 @@ class TestTokenCallbacks:
             harness,
             EngineParams(),
             on_first_token=lambda seq, s: ttft.append(s),
-            on_token=lambda seq, s: gaps.append(s),
+            on_token_gaps=lambda s, count: gaps.extend([s] * count),
         )
         done = replica.submit(Sequence(0, 32, 16))
 

@@ -115,3 +115,45 @@ class TestSnapshot:
             r.record(v)
         r.record_error()
         assert r.snapshot() == r.summary()
+
+
+class TestRecordRun:
+    """A run of equal values records exactly like per-sample calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        backend=st.sampled_from(["exact", "hdr"]),
+        runs=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+                st.integers(1, 20),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_matches_per_sample_record(self, backend, runs):
+        one_by_one = LatencyRecorder(backend=backend)
+        by_runs = LatencyRecorder(backend=backend)
+        for value, count in runs:
+            for _ in range(count):
+                one_by_one.record(value)
+            by_runs.record_run(value, count)
+        assert len(by_runs) == len(one_by_one)
+        for p in (0, 50, 90, 99, 100):
+            assert by_runs.percentile(p) == one_by_one.percentile(p)
+        assert by_runs.mean() == one_by_one.mean()
+        assert by_runs.max() == one_by_one.max()
+        assert by_runs.summary() == one_by_one.summary()
+
+    def test_exact_backend_keeps_order(self):
+        r = LatencyRecorder()
+        r.record(0.3)
+        r.record_run(0.1, 2)
+        r.record(0.2)
+        assert r._samples == [0.3, 0.1, 0.1, 0.2]
+
+    def test_negative_rejected(self):
+        for backend in ("exact", "hdr"):
+            with pytest.raises(ValueError):
+                LatencyRecorder(backend=backend).record_run(-1.0, 3)

@@ -105,6 +105,23 @@ class TestResource:
         assert len(granted) == 2
         assert resource.queue_length == 1
 
+    def test_try_acquire_grants_only_a_free_unqueued_slot(self, env):
+        resource = Resource(env, capacity=1)
+        assert resource.try_acquire()
+        assert resource.count == 1
+        assert not resource.try_acquire()
+        waiter = resource.request()  # queued behind the held slot
+        resource.release_slot()
+        # The release hands the slot to the queued request, so a
+        # try_acquire cannot jump the queue.
+        assert waiter.triggered and resource.count == 1
+        assert not resource.try_acquire()
+
+    def test_release_slot_without_grant_raises(self, env):
+        resource = Resource(env, capacity=2)
+        with pytest.raises(RuntimeError):
+            resource.release_slot()
+
     def test_fifo_waiters(self, env):
         resource = Resource(env, capacity=1)
         order = []

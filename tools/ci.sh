@@ -1,5 +1,6 @@
 #!/bin/sh
-# Tier-1 verification: the full unit suite plus a parallel smoke sweep.
+# Tier-1 verification: the full unit suite, the paper-figure gates and
+# a parallel smoke sweep.
 #
 # The run cache is pointed at a throwaway directory so CI results can
 # never leak into (or be served from) a developer's ~/.cache, and the
@@ -19,6 +20,11 @@ trap 'rm -rf "$CACHE_TMP"' EXIT INT TERM
 
 echo "== tier-1 tests (cache dir: $CACHE_TMP) =="
 python -m pytest -x -q
+
+echo "== paper-figure gates (Tables 1/3/4, Figures 2-16, ablations) =="
+# The shape assertions in benchmarks/ with timing off (~2 min): a
+# speed-up that moves a paper figure fails here.
+python -m pytest -x -q benchmarks --benchmark-disable
 
 echo "== parallel smoke sweep (2 points, 2 workers) =="
 python - <<'EOF'
