@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 
 @dataclass
@@ -36,8 +36,11 @@ class CacheStats:
 
 class _Entry:
     """One cache node.  A plain slotted class, not a dataclass: the
-    TaoBench pre-warm allocates ~50k of these per run and the slotted
-    form is both smaller and faster to construct."""
+    TaoBench pre-warm allocates ~54k of these per fill and the slotted
+    form is both smaller and faster to construct.
+
+    A node is never mutated once installed (replacement installs a new
+    one), so snapshots and restored caches can share nodes."""
 
     __slots__ = ("value", "size", "expires_at")
 
@@ -49,12 +52,25 @@ class _Entry:
         self.expires_at = expires_at
 
 
+class LruSnapshot(NamedTuple):
+    """An immutable image of an :class:`LruCache` (see ``snapshot``)."""
+
+    #: LRU-to-MRU ``(key, node)`` pairs; nodes are shared, never mutated.
+    entries: Tuple[Tuple[str, _Entry], ...]
+    used_bytes: int
+    sets: int
+
+
 class LruCache:
     """Strict-LRU cache bounded by total value bytes.
 
     ``clock`` supplies the current time for TTL decisions (inject the
     sim clock in simulations; defaults to a monotonic counter that
     never expires anything).
+
+    :meth:`snapshot` and :meth:`restore` capture and reinstate a
+    warm-start image: a restore is one ``OrderedDict`` copy that
+    shares the snapshot's immutable nodes.
     """
 
     def __init__(
@@ -111,12 +127,14 @@ class LruCache:
     def set(self, key: str, value: bytes, ttl_seconds: Optional[float] = None) -> None:
         """Insert or replace; evicts LRU entries to fit.
 
-        Replacement updates the node in place (no pop/realloc), and
-        eviction runs *after* the entry sits at MRU.  Both forms evict
-        exactly the victims the remove-then-reinsert formulation did:
-        the updated/new entry is at the MRU end, so ``_evict_lru``
-        pops the same LRU-ordered others, and ``used > capacity`` here
-        is the old ``used_without_entry + size > capacity``.
+        Replacement installs a fresh node under the existing key (the
+        old node is never mutated, so it may be shared with a
+        :meth:`snapshot`) and moves it to MRU; eviction runs *after*
+        the entry sits at MRU.  Both forms evict exactly the victims
+        the remove-then-reinsert formulation did: the updated/new entry
+        is at the MRU end, so ``_evict_lru`` pops the same LRU-ordered
+        others, and ``used > capacity`` here is the old
+        ``used_without_entry + size > capacity``.
         """
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError("values must be bytes")
@@ -131,16 +149,12 @@ class LruCache:
                 raise ValueError("ttl_seconds must be positive")
             expires_at = self._clock() + ttl_seconds
         entries = self._entries
-        entry = entries.get(key)
-        if entry is not None:
-            self._used_bytes += size - entry.size
-            entry.value = bytes(value)
-            entry.size = size
-            entry.expires_at = expires_at
+        old = entries.get(key)
+        if old is not None:
+            self._used_bytes -= old.size
             entries.move_to_end(key)
-        else:
-            entries[key] = _Entry(bytes(value), size, expires_at)
-            self._used_bytes += size
+        entries[key] = _Entry(bytes(value), size, expires_at)
+        self._used_bytes += size
         while self._used_bytes > self.capacity_bytes:
             self._evict_lru()
         self.stats.sets += 1
@@ -161,30 +175,34 @@ class LruCache:
         self._used_bytes -= entry.size
         self.stats.evictions += 1
 
-    def load(self, items: Iterable[Tuple[str, bytes]]) -> None:
-        """Bulk-restore a known-good fill into an empty cache.
+    def snapshot(self) -> LruSnapshot:
+        """Capture the entries, byte usage and ``sets`` counter.
 
-        Equivalent to calling :meth:`set` once per pair — same
-        insertion order, byte accounting, and ``sets`` counter — for
-        fills already known to need no eviction or TTL handling (e.g.
-        replaying a memoized pre-warm).  Requires an empty cache and
-        distinct keys; raises if the items exceed capacity.
+        The snapshot shares this cache's nodes: that is safe because
+        no method mutates a node after it is installed (``set``
+        replaces, eviction and deletion unlink), so later traffic on
+        this cache or on any restored copy leaves it unchanged.
+        """
+        return LruSnapshot(
+            tuple(self._entries.items()), self._used_bytes, self.stats.sets
+        )
+
+    def restore(self, snapshot: LruSnapshot) -> None:
+        """Reinstate a :meth:`snapshot` into an empty cache.
+
+        Equivalent to replaying the snapshot's ``set`` calls — same
+        insertion order, byte accounting and ``sets`` counter; TTL
+        deadlines keep their absolute clock times — at the cost of one
+        C-level ``OrderedDict`` copy.  Requires an empty cache whose
+        capacity holds the snapshot's bytes.
         """
         if self._entries:
-            raise ValueError("load() requires an empty cache")
-        entries = self._entries
-        used = 0
-        count = 0
-        for key, value in items:
-            size = len(value)
-            entries[key] = _Entry(value, size)
-            used += size
-            count += 1
-        if used > self.capacity_bytes:
-            self._entries.clear()
-            raise ValueError("loaded items exceed capacity")
-        self._used_bytes = used
-        self.stats.sets += count
+            raise ValueError("restore() requires an empty cache")
+        if snapshot.used_bytes > self.capacity_bytes:
+            raise ValueError("snapshot exceeds capacity")
+        self._entries = OrderedDict(snapshot.entries)
+        self._used_bytes = snapshot.used_bytes
+        self.stats.sets += snapshot.sets
 
     def clear(self) -> int:
         """O(1) flush: drop every entry (live *and* expired) at once.

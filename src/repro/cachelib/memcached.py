@@ -91,16 +91,6 @@ class MemcachedServer:
         self._check_key(key)
         return self.cache.delete(key)
 
-    def warm(self, items) -> None:
-        """Restore a recorded pre-warm fill into an empty cache.
-
-        The items must have passed validation when the fill was first
-        recorded, so they skip re-validation and seed the validation
-        memo directly.
-        """
-        self.cache.load(items)
-        self._validated.update(key for key, _ in items)
-
     def flush_all(self) -> None:
         """Drop every item (preserves counters, like the real command).
 

@@ -238,6 +238,8 @@ class Process(Event):
         #: ``self._resume`` bound once: every attribute access on a
         #: method allocates a fresh bound-method object, and the resume
         #: callback is subscribed/unsubscribed several times per request.
+        #: Cleared when the process terminates, so a finished process
+        #: is not a reference cycle and refcounting frees it.
         self._resume_fn = self._resume
         # Bootstrap: resume the process at the current time.
         env._schedule_resume(self._resume_fn, True, None)
@@ -310,12 +312,14 @@ class Process(Event):
                     target = generator.throw(event._value)
             except StopIteration as stop:
                 self._value = stop.value
+                self._resume_fn = None  # break the self-cycle
                 env._fifo.append((env.now, env._seq, self))
                 env._seq += 1
                 return
             except Interrupt:
                 # An unhandled interrupt terminates the process quietly.
                 self._value = None
+                self._resume_fn = None
                 env._fifo.append((env.now, env._seq, self))
                 env._seq += 1
                 return
@@ -329,6 +333,7 @@ class Process(Event):
                 # unhandled error still stops the simulation.
                 self._ok = False
                 self._value = exc
+                self._resume_fn = None
                 env._fifo.append((env.now, env._seq, self))
                 env._seq += 1
                 return

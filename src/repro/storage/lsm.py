@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Callable, Generator, List, NamedTuple, Optional, Tuple
 
 from repro.cachelib.lru import LruCache
 from repro.hw.blockdev import BlockDevice
@@ -123,6 +123,15 @@ class LsmStats:
         return self.bloom_false_positives / passes
 
 
+class LsmImage(NamedTuple):
+    """A warm-start image of an :class:`LsmTree` (see ``snapshot``)."""
+
+    config: LsmConfig
+    #: Per-level table tuples (levels[0] is L0, newest first).
+    levels: Tuple[Tuple[SSTable, ...], ...]
+    next_table_id: int
+
+
 class LsmTree:
     """One LSM storage engine instance bound to a device and a cache.
 
@@ -204,6 +213,33 @@ class LsmTree:
             level,
             bits_per_key=self.config.bloom_bits_per_key,
         )
+
+    def snapshot(self) -> LsmImage:
+        """Capture a quiescent tree's sorted runs and table-id counter.
+
+        The image shares the tree's :class:`SSTable` objects, which are
+        never mutated after construction; later flushes and compactions
+        replace level lists rather than editing tables, so they leave
+        the image unchanged.  Only an idle tree (empty memtable, no
+        compaction in flight) can be captured.
+        """
+        if self.memtable or self._compacting:
+            raise ValueError("snapshot() requires an idle tree")
+        return LsmImage(
+            self.config,
+            tuple(tuple(tables) for tables in self.levels),
+            self._next_table_id,
+        )
+
+    def restore(self, image: LsmImage) -> None:
+        """Reinstate a :meth:`snapshot` into a fresh tree of the same
+        config: each level list is copied, the tables are shared."""
+        if image.config != self.config:
+            raise ValueError("image was captured under a different config")
+        if self._next_table_id or self.table_count or self.memtable:
+            raise ValueError("restore() requires a fresh tree")
+        self.levels = [list(tables) for tables in image.levels]
+        self._next_table_id = image.next_table_id
 
     # -- read path -------------------------------------------------------------
     def _block_key(self, table: SSTable, position: int) -> str:

@@ -12,6 +12,8 @@ block device by the :class:`~repro.storage.lsm.LsmTree`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import islice
+from operator import ge
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.storage.bloom import BloomFilter
@@ -61,6 +63,9 @@ class SSTable:
 
     Keys are integers (the workloads' key ordinals); parallel lists
     keep per-key value sizes for scan/compaction byte accounting.
+    Nothing mutates a table after ``__init__`` (compaction builds new
+    tables), so one table may be shared by several trees — the
+    StorageBench warm-start memo relies on it.
     """
 
     __slots__ = (
@@ -84,18 +89,18 @@ class SSTable:
         pairs = list(entries)
         if not pairs:
             raise ValueError("an SSTable needs at least one entry")
-        if any(pairs[i][0] >= pairs[i + 1][0] for i in range(len(pairs) - 1)):
+        keys = [k for k, _ in pairs]
+        if any(map(ge, keys, islice(keys, 1, None))):
             raise ValueError("entries must be sorted by strictly increasing key")
         self.table_id = table_id
         self.level = level
-        self.keys: List[int] = [k for k, _ in pairs]
+        self.keys: List[int] = keys
         self.sizes: List[int] = [s for _, s in pairs]
         self.data_bytes = sum(self.sizes)
-        self.min_key = self.keys[0]
-        self.max_key = self.keys[-1]
+        self.min_key = keys[0]
+        self.max_key = keys[-1]
         self.bloom = BloomFilter(len(pairs), bits_per_key=bits_per_key)
-        for key in self.keys:
-            self.bloom.add(key)
+        self.bloom.add_all(keys)
 
     def __len__(self) -> int:
         return len(self.keys)

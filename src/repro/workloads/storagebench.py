@@ -93,6 +93,15 @@ DEFAULT_BATCH = 200
 #: first bottleneck.
 OFFERED_FRACTION = 0.70
 
+#: Memoized warm-start images (:class:`~repro.storage.lsm.LsmImage`),
+#: keyed by the frozen ``LsmConfig``.  The prefill is RNG-free, so the
+#: image is a pure function of the config; repeat runs in one process
+#: restore it by copying the level lists instead of rebuilding ~35
+#: tables and their bloom filters.  Tables are never mutated after
+#: construction, so every restored tree shares them.
+_PREFILL_MEMO: dict = {}
+_PREFILL_MEMO_MAX = 4
+
 
 class StorageBench(Workload):
     """LSM storage engine benchmark over a simulated block device."""
@@ -270,8 +279,13 @@ class StorageBench(Workload):
         sparsely covers the whole key space and L2 densely covers the
         popular prefix.  Each level is filled to just under its target
         size so the first compactions are triggered by the measured
-        write traffic.
+        write traffic.  Built once per config and process, then
+        restored from ``_PREFILL_MEMO``.
         """
+        image = _PREFILL_MEMO.get(lsm_config)
+        if image is not None:
+            tree.restore(image)
+            return
         value = int(MEAN_VALUE_BYTES)
         l1_budget = int(
             lsm_config.level_target_bytes(1) * PREFILL_LEVEL_FILL
@@ -287,3 +301,6 @@ class StorageBench(Workload):
         )
         l2_keys = min(KEY_SPACE, max(1, l2_budget // value))
         tree.load_level(2, [(key, value) for key in range(1, l2_keys + 1)])
+        if len(_PREFILL_MEMO) >= _PREFILL_MEMO_MAX:
+            _PREFILL_MEMO.clear()
+        _PREFILL_MEMO[lsm_config] = tree.snapshot()

@@ -59,13 +59,16 @@ DEFAULT_BATCH = 200
 #: ~80-86% CPU, not saturation — Table 1 / Figure 9).
 OFFERED_FRACTION = 0.92
 
-#: Memoized pre-warm fills.  The fill is a pure function of the cache
-#: geometry and the size-stream RNG state at entry, so repeat runs
-#: (sweeps, best-of-N benches, repeated suite points in one process)
-#: replay the recorded (key, value) pairs and fast-forward the RNG to
-#: the recorded end state instead of re-drawing ~50k object sizes —
-#: byte-identical by construction.  Values are immutable bytes, safe
-#: to share; cache nodes are rebuilt fresh on every restore.
+#: Memoized pre-warm fills: ``(LruSnapshot, end RNG state)``.  The
+#: fill is a pure function of the cache geometry and the size-stream
+#: RNG state at entry, so repeat runs (sweeps, best-of-N benches,
+#: repeated suite points in one process) restore the recorded cache
+#: image with one C-level copy and fast-forward the RNG to the recorded
+#: end state instead of re-drawing ~54k object sizes — byte-identical
+#: by construction.  The snapshot's nodes are shared with every
+#: restored cache; that is safe because ``LruCache`` never mutates a
+#: node after installing it.  A restored server starts with an empty
+#: key-validation memo, which only saves time and never changes output.
 _WARM_MEMO: dict = {}
 _WARM_MEMO_MAX = 4
 
@@ -121,23 +124,20 @@ class TaoBench(Workload):
         )
         warmed = _WARM_MEMO.get(memo_key)
         if warmed is None:
-            items = []
             rank = 1
             while (
                 server.cache.used_bytes < 0.97 * CACHE_CAPACITY_BYTES
                 and rank <= KEY_SPACE
             ):
                 warm_key = f"tao:{rank}"
-                warm_value = backend_fetch(warm_key)
-                server.set(warm_key, warm_value)
-                items.append((warm_key, warm_value))
+                server.set(warm_key, backend_fetch(warm_key))
                 rank += 1
             if len(_WARM_MEMO) >= _WARM_MEMO_MAX:
                 _WARM_MEMO.clear()
-            _WARM_MEMO[memo_key] = (tuple(items), size_rng.getstate())
+            _WARM_MEMO[memo_key] = (server.cache.snapshot(), size_rng.getstate())
         else:
-            items, end_state = warmed
-            server.warm(items)
+            snapshot, end_state = warmed
+            server.cache.restore(snapshot)
             size_rng.setstate(end_state)
         key_rng = harness.rng.stream("keys")
         backend_rng = harness.rng.stream("backend")

@@ -143,28 +143,76 @@ class TestClearAndLoad:
         assert cache.clear() == 1
         assert cache.used_bytes == 0
 
-    def test_load_matches_set_sequence(self):
-        items = [(f"k{i}", b"x" * (i + 1)) for i in range(10)]
-        via_sets = LruCache(1000)
-        for key, value in items:
-            via_sets.set(key, value)
-        via_load = LruCache(1000)
-        via_load.load(items)
-        assert via_load.items_snapshot() == via_sets.items_snapshot()
-        assert via_load.used_bytes == via_sets.used_bytes
-        assert via_load.stats.sets == via_sets.stats.sets
 
-    def test_load_requires_empty_cache(self):
+class TestSnapshotRestore:
+    @staticmethod
+    def _filled(items, capacity=1000):
+        cache = LruCache(capacity)
+        for key, value in items:
+            cache.set(key, value)
+        return cache
+
+    def test_restore_matches_set_sequence(self):
+        items = [(f"k{i}", b"x" * (i + 1)) for i in range(10)]
+        via_sets = self._filled(items)
+        via_restore = LruCache(1000)
+        via_restore.restore(self._filled(items).snapshot())
+        assert via_restore.items_snapshot() == via_sets.items_snapshot()
+        assert list(via_restore.items_snapshot()) == items  # insertion order
+        assert via_restore.used_bytes == via_sets.used_bytes
+        assert via_restore.stats.sets == via_sets.stats.sets
+
+    def test_restore_keeps_recency_order(self):
+        cache = self._filled([("a", b"1"), ("b", b"2"), ("c", b"3")])
+        cache.get("a")  # a is now MRU
+        restored = LruCache(1000)
+        restored.restore(cache.snapshot())
+        assert [k for k, _ in restored.items_snapshot()] == ["b", "c", "a"]
+
+    def test_restore_adds_to_sets_counter(self):
+        snapshot = self._filled([("a", b"1"), ("b", b"2")]).snapshot()
+        cache = LruCache(100)
+        cache.get("missing")
+        cache.restore(snapshot)
+        assert cache.stats.sets == 2
+        assert cache.stats.misses == 1
+
+    def test_restore_requires_empty_cache(self):
+        snapshot = self._filled([("b", b"v")]).snapshot()
         cache = LruCache(100)
         cache.set("a", b"v")
         with pytest.raises(ValueError):
-            cache.load([("b", b"v")])
+            cache.restore(snapshot)
 
-    def test_load_rejects_overflow(self):
+    def test_restore_rejects_overflow(self):
+        snapshot = self._filled([("a", b"x" * 6), ("b", b"x" * 6)]).snapshot()
         cache = LruCache(10)
         with pytest.raises(ValueError):
-            cache.load([("a", b"x" * 6), ("b", b"x" * 6)])
-        assert len(cache) == 0  # failed load leaves the cache empty
+            cache.restore(snapshot)
+        assert len(cache) == 0  # failed restore leaves the cache empty
+        assert cache.stats.sets == 0
+
+    def test_mutating_a_restored_cache_leaves_the_snapshot_unchanged(self):
+        items = [(f"k{i}", bytes([65 + i]) * 10) for i in range(5)]
+        source = self._filled(items, capacity=50)
+        snapshot = source.snapshot()
+        frozen = [(k, e.value, e.size, e.expires_at) for k, e in snapshot.entries]
+        restored = LruCache(50)
+        restored.restore(snapshot)
+        restored.set("k0", b"new")  # replace an existing key
+        restored.set("k1", b"z" * 10, ttl_seconds=5.0)
+        assert restored.delete("k2")
+        restored.set("big", b"y" * 30)  # evicts LRU entries
+        assert restored.stats.evictions > 0
+        source.set("k3", b"w")  # the capturing cache moves on too
+        assert [
+            (k, e.value, e.size, e.expires_at) for k, e in snapshot.entries
+        ] == frozen
+        assert snapshot.used_bytes == 50 and snapshot.sets == 5
+        again = LruCache(50)
+        again.restore(snapshot)
+        assert list(again.items_snapshot()) == items
+        assert again.used_bytes == 50
 
 
 class TestTtlRacingEviction:

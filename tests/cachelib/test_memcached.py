@@ -141,13 +141,19 @@ class TestFlushAndWarm:
         assert len(server.cache) == 0
         assert server.cache.used_bytes == 0
 
-    def test_warm_matches_individual_sets(self):
+    def test_restored_server_matches_individual_sets(self):
         items = [(f"k{i}", bytes([i]) * (i + 1)) for i in range(20)]
         via_sets = MemcachedServer()
         for key, value in items:
             via_sets.set(key, value)
-        via_warm = MemcachedServer()
-        via_warm.warm(items)
-        assert via_warm.cache.items_snapshot() == via_sets.cache.items_snapshot()
-        assert via_warm.cache.used_bytes == via_sets.cache.used_bytes
-        assert via_warm.stats() == via_sets.stats()
+        via_restore = MemcachedServer()
+        via_restore.cache.restore(via_sets.cache.snapshot())
+        assert via_restore.cache.items_snapshot() == via_sets.cache.items_snapshot()
+        assert via_restore.cache.used_bytes == via_sets.cache.used_bytes
+        assert via_restore.stats() == via_sets.stats()
+        # The validation memo is not part of the image: restored keys
+        # are validated again on first use, with the same outcome.
+        assert via_restore._validated == set()
+        assert via_restore.get("k3") == bytes([3]) * 4
+        with pytest.raises(MemcachedError):
+            via_restore.get("bad key")

@@ -1,5 +1,8 @@
 """Tests for the discrete-event engine."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +10,7 @@ from repro.sim.engine import (
     Environment,
     Event,
     Interrupt,
+    Process,
     SimulationError,
     Timeout,
 )
@@ -215,3 +219,102 @@ class TestEnvironment:
             return trace
 
         assert build() == build()
+
+
+class TestProcessLifetime:
+    """A finished process holds no reference to itself, so refcounting
+    frees it without the cycle collector.
+
+    Each test watches its own processes through weak references to
+    their generators (a process holds its generator until it is freed)
+    and looks for them in ``gc.garbage`` by generator code, so garbage
+    other tests left behind cannot interfere.
+    """
+
+    @pytest.fixture
+    def saved_garbage(self):
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            yield gc.garbage
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[:]
+            if was_enabled:
+                gc.enable()
+
+    @staticmethod
+    def _assert_freed_by_refcount(garbage, generators, *functions):
+        # gc is disabled: only refcounting can have freed them.
+        assert [ref for ref in generators if ref() is not None] == []
+        gc.collect()
+        codes = {function.__code__ for function in functions}
+        assert [
+            obj for obj in garbage
+            if isinstance(obj, Process) and obj._generator.gi_code in codes
+        ] == []
+
+    @staticmethod
+    def _spawner(env, generators):
+        def spawn(generator):
+            generators.append(weakref.ref(generator))
+            return env.process(generator)
+
+        return spawn
+
+    def test_finished_processes_are_freed_by_refcount(self, saved_garbage):
+        env = Environment()
+        results, generators = [], []
+        spawn = self._spawner(env, generators)
+
+        def sleeper(delay):
+            yield env.sleep(delay)
+            yield env.timeout(delay)
+            return delay
+
+        def joiner(count):
+            children = [spawn(sleeper(0.1 * i)) for i in range(count)]
+            for child in children:
+                results.append((yield child))
+
+        for count in (1, 3, 5):
+            spawn(joiner(count))
+        env.run()
+        assert len(results) == 9 and len(generators) == 12
+        del env, spawn
+        self._assert_freed_by_refcount(saved_garbage, generators, sleeper, joiner)
+
+    def test_interrupted_process_is_freed_by_refcount(self, saved_garbage):
+        env = Environment()
+        generators = []
+        spawn = self._spawner(env, generators)
+
+        def victim():
+            yield env.timeout(10.0)
+
+        def interrupter(target):
+            yield env.timeout(1.0)
+            target.interrupt("stop")
+
+        spawn(interrupter(spawn(victim())))
+        env.run()
+        del env, spawn
+        self._assert_freed_by_refcount(saved_garbage, generators, victim, interrupter)
+
+    def test_failed_process_drops_its_resume_callback(self):
+        env = Environment()
+
+        def failing():
+            yield env.timeout(1.0)
+            raise ValueError("boom")
+
+        def waiter(target):
+            with pytest.raises(ValueError):
+                yield target
+
+        target = env.process(failing())
+        env.process(waiter(target))
+        env.run()
+        assert target._resume_fn is None  # no bound method back to itself

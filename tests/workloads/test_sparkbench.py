@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.workloads import sparkbench
 from repro.workloads.base import RunConfig
 from repro.workloads.sparkbench import SparkBench
 
@@ -72,3 +73,36 @@ class TestStorageLayer:
     def test_validate_storage_deterministic(self):
         bench = SparkBench()
         assert bench.validate_storage(seed=4) == bench.validate_storage(seed=4)
+
+
+class TestSharedValidationTable:
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """Empty validation memos and a counter on fact-table generation."""
+        for memo in ("_QUERY_MEMO", "_STORAGE_MEMO", "_FACT_MEMO"):
+            monkeypatch.setattr(sparkbench, memo, {})
+        calls = []
+        schema = sparkbench.warehouse_fact_schema
+
+        def counting_schema():
+            calls.append(1)
+            return schema()
+
+        monkeypatch.setattr(sparkbench, "warehouse_fact_schema", counting_schema)
+        return calls
+
+    def test_cold_point_generates_the_fact_table_once(self, cold):
+        SparkBench().run(RunConfig(sku_name="SKU2", seed=11))
+        assert len(cold) == 1
+
+    def test_validations_keep_their_values(self, cold):
+        """Pinned from the per-validation generation the shared table
+        replaced."""
+        bench = SparkBench()
+        query = bench.validate_query(seed=11)
+        assert (query.scanned_rows, query.filtered_rows) == (4000, 1778)
+        assert (query.joined_rows, query.groups) == (1387, 64)
+        assert query.rows[0]["region"] == "7ghknog"
+        assert query.rows[0]["events"] == 259
+        assert bench.validate_storage(seed=11) == 1.877469951410792
+        assert len(cold) == 1

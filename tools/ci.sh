@@ -239,6 +239,62 @@ print("storagebench smoke ok: disk_degraded replay byte-identical, "
       "cold sweep cached + warm rerun fully served")
 EOF
 
+echo "== storage bench smoke (device, LSM put/get, storagebench point) =="
+python tools/bench_storage.py --smoke
+
+echo "== warm-start snapshot smoke (restored memos vs fresh processes) =="
+python - <<'EOF'
+import json
+import os
+import subprocess
+import sys
+
+from repro.exec.executor import execute_point
+from repro.exec.spec import RunPoint
+
+def point(benchmark, sku, measure):
+    return RunPoint(benchmark=benchmark, sku=sku, seed=11,
+                    measure_seconds=measure, warmup_seconds=0.05,
+                    early_stop=False)
+
+def in_process(p):
+    return json.dumps(execute_point(p).as_dict(), sort_keys=True)
+
+FRESH = """
+import json, sys
+from repro.exec.executor import execute_point
+from repro.exec.spec import RunPoint
+point = RunPoint(**json.loads(sys.argv[1]))
+print(json.dumps(execute_point(point).as_dict(), sort_keys=True))
+"""
+
+def fresh_process(p):
+    fields = dict(benchmark=p.benchmark, sku=p.sku, seed=p.seed,
+                  measure_seconds=p.measure_seconds,
+                  warmup_seconds=p.warmup_seconds, early_stop=p.early_stop)
+    out = subprocess.run([sys.executable, "-c", FRESH, json.dumps(fields)],
+                         env=dict(os.environ, DCPERF_CACHE="0"),
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+# The warm runs fill the taobench and storagebench memos and then run
+# on restored images, mutating their caches and trees (misses,
+# invalidations, evictions, flushes, compactions).  Each checked point
+# restores an image those runs shared and must match a new process.
+warmers = [point("taobench", "SKU2", 0.3), point("taobench", "SKU4", 1.0),
+           point("storagebench", "SKU1", 0.6),
+           point("storagebench", "SKU2", 0.6)]
+checked = [point("taobench", "SKU4", 1.0), point("storagebench", "SKU3", 0.6),
+           point("storagebench", "SKU2", 0.6)]
+for p in warmers:
+    in_process(p)
+for p in checked:
+    assert in_process(p) == fresh_process(p), \
+        f"{p.benchmark}@{p.sku} on a restored image diverged from a fresh process"
+print(f"snapshot smoke ok: {len(checked)} points on restored images "
+      f"byte-identical to fresh processes after {len(warmers)} warm runs")
+EOF
+
 echo "== llmbench smoke (cross-path byte-identity + cache round-trip) =="
 python - <<'EOF'
 import json
