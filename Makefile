@@ -6,9 +6,9 @@ PYTHON ?= python
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# Tier-1 gate: unit suite + a 2-point parallel smoke sweep + a
-# fault-scenario replay check, with the run cache isolated in a temp
-# directory (see tools/ci.sh).
+# Full verification: every step of tools/ci.sh (unit suite, paper-figure
+# gates, cross-path smokes, perfbench harness tests, perf smokes), with
+# the run cache isolated in a temp directory.  See tools/ci.sh for the list.
 verify:
 	sh tools/ci.sh
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 
 @dataclass
@@ -60,6 +60,44 @@ class LruSnapshot(NamedTuple):
     used_bytes: int
     sets: int
 
+    @classmethod
+    def build(
+        cls, items: Iterable[Tuple[str, bytes]], capacity_bytes: int
+    ) -> "LruSnapshot":
+        """The image an empty cache of ``capacity_bytes`` would hold
+        after ``set(key, value)`` (no TTL) for each pair in order, made
+        in one pass without a cache.
+
+        Applies ``set``'s value checks, and a repeated key replaces the
+        earlier node and moves to MRU as ``set`` does.  The image
+        carries no eviction counter, so a pair that would make ``set``
+        evict raises ``ValueError`` instead.
+        """
+        nodes: Dict[str, _Entry] = {}
+        pop = nodes.pop
+        used = 0
+        sets = 0
+        for key, value in items:
+            if not isinstance(value, (bytes, bytearray)):
+                raise TypeError("values must be bytes")
+            size = len(value)
+            if size > capacity_bytes:
+                raise ValueError(
+                    f"value of {size} bytes exceeds capacity {capacity_bytes}"
+                )
+            old = pop(key, None)
+            if old is not None:
+                used -= old.size
+            nodes[key] = _Entry(bytes(value), size)
+            used += size
+            if used > capacity_bytes:
+                raise ValueError(
+                    f"{key!r} overflows capacity {capacity_bytes}: "
+                    "set() would evict"
+                )
+            sets += 1
+        return cls(tuple(nodes.items()), used, sets)
+
 
 class LruCache:
     """Strict-LRU cache bounded by total value bytes.
@@ -70,7 +108,8 @@ class LruCache:
 
     :meth:`snapshot` and :meth:`restore` capture and reinstate a
     warm-start image: a restore is one ``OrderedDict`` copy that
-    shares the snapshot's immutable nodes.
+    shares the snapshot's immutable nodes.  ``LruSnapshot.build``
+    makes such an image from ``(key, value)`` pairs directly.
     """
 
     def __init__(

@@ -9,9 +9,9 @@ this class.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
-from repro.cachelib.lru import LruCache
+from repro.cachelib.lru import LruCache, LruSnapshot
 
 #: Memcached's classic limits.
 MAX_KEY_BYTES = 250
@@ -29,6 +29,30 @@ _VALIDATION_MEMO_MAX = 1 << 16
 
 class MemcachedError(Exception):
     """Raised on protocol violations (bad key/value)."""
+
+
+def check_key(key: str) -> None:
+    """Raise :class:`MemcachedError` unless ``key`` is a legal key."""
+    if key.isascii():
+        # ASCII fast path: byte length equals character length,
+        # and the whitespace scan collapses to one set probe.
+        if not key or len(key) > MAX_KEY_BYTES:
+            raise MemcachedError(f"invalid key length: {len(key)}")
+        if not _ASCII_WHITESPACE.isdisjoint(key):
+            raise MemcachedError("keys must not contain whitespace")
+    else:
+        if len(key.encode("utf-8")) > MAX_KEY_BYTES:
+            raise MemcachedError(f"invalid key length: {len(key)}")
+        if any(c.isspace() for c in key):
+            raise MemcachedError("keys must not contain whitespace")
+
+
+def check_value(value: bytes) -> None:
+    """Raise :class:`MemcachedError` if ``value`` exceeds the item limit."""
+    if len(value) > MAX_VALUE_BYTES:
+        raise MemcachedError(
+            f"value of {len(value)} bytes exceeds the 1MB item limit"
+        )
 
 
 class MemcachedServer:
@@ -50,18 +74,7 @@ class MemcachedServer:
         validated = self._validated
         if key in validated:
             return
-        if key.isascii():
-            # ASCII fast path: byte length equals character length,
-            # and the whitespace scan collapses to one set probe.
-            if not key or len(key) > MAX_KEY_BYTES:
-                raise MemcachedError(f"invalid key length: {len(key)}")
-            if not _ASCII_WHITESPACE.isdisjoint(key):
-                raise MemcachedError("keys must not contain whitespace")
-        else:
-            if len(key.encode("utf-8")) > MAX_KEY_BYTES:
-                raise MemcachedError(f"invalid key length: {len(key)}")
-            if any(c.isspace() for c in key):
-                raise MemcachedError("keys must not contain whitespace")
+        check_key(key)
         if len(validated) >= _VALIDATION_MEMO_MAX:
             validated.clear()
         validated.add(key)
@@ -81,11 +94,21 @@ class MemcachedServer:
 
     def set(self, key: str, value: bytes, ttl_seconds: Optional[float] = None) -> None:
         self._check_key(key)
-        if len(value) > MAX_VALUE_BYTES:
-            raise MemcachedError(
-                f"value of {len(value)} bytes exceeds the 1MB item limit"
-            )
+        check_value(value)
         self.cache.set(key, value, ttl_seconds=ttl_seconds)
+
+    def build_snapshot(self, items: Iterable[Tuple[str, bytes]]) -> LruSnapshot:
+        """The cache image ``set(key, value)`` for each pair in order
+        would leave in this server's empty cache, made in one pass
+        (``LruSnapshot.build``) under the same key and value checks.
+        Install it with ``self.cache.restore``."""
+        def checked() -> Iterator[Tuple[str, bytes]]:
+            for key, value in items:
+                check_key(key)
+                check_value(value)
+                yield key, value
+
+        return LruSnapshot.build(checked(), self.cache.capacity_bytes)
 
     def delete(self, key: str) -> bool:
         self._check_key(key)

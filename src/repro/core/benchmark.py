@@ -65,6 +65,9 @@ class Benchmark:
         For simulated workloads, installation resolves the calibrated
         profile and validates it; data-driven benchmarks additionally
         build their datasets (SparkBench's validation tables).
+        :meth:`run` does not call it: each run validates the workload at
+        its own ``config.seed``, and this step validates at the
+        workload's default seed, which a run would discard.
         """
         description = self.workload.describe()
         if hasattr(self.workload, "validate_query"):
@@ -91,8 +94,6 @@ class Benchmark:
                 "Benchmark.run only executes single environments"
             )
         hooks = hooks or default_hooks()
-        if not self._installed:
-            self.install()
         ctx = RunContext(
             benchmark=self.name,
             config=config,

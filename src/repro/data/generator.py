@@ -56,6 +56,10 @@ class DatasetGenerator:
         self.schema = schema
         self.streams = RngStreams(seed).spawn(schema.name)
         self._zipf_cache: Dict[str, ZipfSampler] = {}
+        #: column name -> ordinal -> string.  A string is a pure function
+        #: of (column, ordinal) and derives two sha256-seeded streams,
+        #: so each distinct ordinal is derived once per generator.
+        self._strings: Dict[str, Dict[int, str]] = {}
 
     def _value_for(self, col: Column, row_index: int) -> Optional[Any]:
         """Reference single-value path.
@@ -121,7 +125,8 @@ class DatasetGenerator:
         stream in exactly the per-row order :meth:`_value_for` would.
         The batched form hoists the stream lookup, the null test, the
         ordinal sampler, and the kind dispatch out of the per-value
-        loop; the values are identical.
+        loop, and derives each distinct string once; the values are
+        identical.
         """
         rng = self.streams.stream(col.name)
         random_ = rng.random
@@ -169,6 +174,7 @@ class DatasetGenerator:
                 append(_EPOCH_2026 + randrange(86_400 * 30))
         elif kind == ColumnKind.STRING:
             string_value = self._string_value
+            strings = self._strings.setdefault(col.name, {})
             for row_index in range(num_rows):
                 if nullable and random_() < null_fraction:
                     append(None)
@@ -177,7 +183,10 @@ class DatasetGenerator:
                     ordinal = draw_ordinal(rng)
                 else:
                     ordinal = row_index
-                append(string_value(col, ordinal))
+                value = strings.get(ordinal)
+                if value is None:
+                    value = strings[ordinal] = string_value(col, ordinal)
+                append(value)
         else:
             raise ValueError(f"unhandled column kind {kind}")
         return values

@@ -143,8 +143,12 @@ class KvLedger:
         return True
 
     def force_reserve(self, tokens: int) -> None:
-        overflow = max(0, self.resident_tokens + tokens - self.budget_tokens)
-        self.overflow_tokens += overflow
+        # Count only this reservation's tokens that land past the
+        # budget: once the ledger is over budget, every forced token is
+        # overflow, but the excess already counted is not counted again.
+        excess = self.resident_tokens + tokens - self.budget_tokens
+        if excess > 0:
+            self.overflow_tokens += min(tokens, excess)
         self.resident_tokens += tokens
         if self.resident_tokens > self.peak_tokens:
             self.peak_tokens = self.resident_tokens

@@ -9,8 +9,8 @@ a candidate rate and checks the SLO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,10 @@ class ProbeResult:
     latency_at_percentile: float
     error_rate: float
     cpu_util: float
+    #: The probe run's full output, when the probe function keeps it:
+    #: FeedSim reports its best probe's run instead of re-simulating
+    #: that rate.  Not part of the probe's identity.
+    result: Any = field(default=None, compare=False, repr=False)
 
     def meets(self, slo: SLO) -> bool:
         return (
@@ -73,6 +77,9 @@ def find_max_load(
     ``low_rps`` must meet the SLO (the search raises otherwise) and
     ``high_rps`` should violate it; if ``high_rps`` passes, it is
     returned directly (the workload saturates elsewhere, e.g. CPU).
+    The returned ``probe`` is the run at ``max_rps``, so a probe that
+    keeps its run's ``result`` hands the caller that run; the search
+    drops every other probe as soon as a later one supersedes it.
     """
     if not 0 < low_rps < high_rps:
         raise ValueError("need 0 < low_rps < high_rps")
@@ -99,6 +106,7 @@ def find_max_load(
     probes += 1
     if high_result.meets(slo):
         return SloSearchResult(max_rps=high_rps, probe=high_result, probes_run=probes)
+    del high_result
 
     low, high = low_rps, high_rps
     while probes < max_probes and (high - low) / high > tolerance:
@@ -109,5 +117,6 @@ def find_max_load(
             low, best = mid, result
         else:
             high = mid
+        del result
     assert best is not None
     return SloSearchResult(max_rps=low, probe=best, probes_run=probes)

@@ -13,7 +13,8 @@ import hashlib
 import math
 import random
 from bisect import bisect, bisect_left
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import truediv
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -159,11 +160,9 @@ class ZipfSampler:
         if cdf is None:
             weights = [1.0 / (rank ** s) for rank in range(1, n + 1)]
             total = sum(weights)
-            cdf = []
-            acc = 0.0
-            for w in weights:
-                acc += w / total
-                cdf.append(acc)
+            # The same left-to-right float sum of ``w / total`` as a
+            # Python loop, run by ``accumulate`` in C.
+            cdf = list(accumulate(map(truediv, weights, repeat(total))))
             cdf[-1] = 1.0
             if len(self._CDF_MEMO) >= self._CDF_MEMO_MAX:
                 self._CDF_MEMO.clear()

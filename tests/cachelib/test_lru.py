@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cachelib.lru import LruCache
+from repro.cachelib.lru import LruCache, LruSnapshot
 
 
 class TestBasics:
@@ -213,6 +213,40 @@ class TestSnapshotRestore:
         again.restore(snapshot)
         assert list(again.items_snapshot()) == items
         assert again.used_bytes == 50
+
+
+class TestSnapshotBuild:
+    @staticmethod
+    def _image(cache):
+        return [(k, e.value, e.size, e.expires_at) for k, e in cache._entries.items()]
+
+    def test_build_matches_set_sequence(self):
+        # A repeated key replaces its node and moves to MRU, as set() does.
+        items = [(f"k{i}", b"x" * (i + 1)) for i in range(10)]
+        items += [("k3", b"short"), ("k7", bytearray(b"ba"))]
+        via_sets = LruCache(1000)
+        for key, value in items:
+            via_sets.set(key, value)
+        snapshot = LruSnapshot.build(items, 1000)
+        via_build = LruCache(1000)
+        via_build.restore(snapshot)
+        assert self._image(via_build) == self._image(via_sets)
+        assert snapshot.used_bytes == via_sets.used_bytes
+        assert snapshot.sets == via_sets.stats.sets == 12
+        assert type(snapshot.entries[-1][1].value) is bytes
+
+    def test_build_checks_values(self):
+        with pytest.raises(TypeError):
+            LruSnapshot.build([("a", "text")], 100)
+        with pytest.raises(ValueError):
+            LruSnapshot.build([("a", b"x" * 101)], 100)
+
+    def test_build_refuses_to_evict(self):
+        with pytest.raises(ValueError, match="evict"):
+            LruSnapshot.build([("a", b"x" * 60), ("b", b"y" * 60)], 100)
+        # Replacing a key frees its old bytes first, so this fits.
+        snapshot = LruSnapshot.build([("a", b"x" * 60), ("a", b"y" * 90)], 100)
+        assert snapshot.used_bytes == 90 and snapshot.sets == 2
 
 
 class TestTtlRacingEviction:

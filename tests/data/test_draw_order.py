@@ -87,3 +87,21 @@ def test_string_streams_are_name_derived_not_order_derived():
     gen = DatasetGenerator(schema, seed=3)
     gen.generate(100)  # burn plenty of draws first
     assert gen._string_value(schema.column("region"), 2) == a
+
+
+def test_memoized_strings_equal_the_uncached_derivation():
+    """``generate`` derives each (column, ordinal) string once; every
+    memoized string equals a fresh ``_string_value`` derivation."""
+    gen = DatasetGenerator(warehouse_fact_schema(), seed=7)
+    table = gen.generate(4000)  # SparkBench's validation fact size
+    fresh = DatasetGenerator(warehouse_fact_schema(), seed=7)
+    checked = 0
+    for col in warehouse_fact_schema().columns:
+        if col.kind != ColumnKind.STRING:
+            continue
+        memo = gen._strings[col.name]
+        assert set(table.columns[col.name]) - {None} == set(memo.values())
+        for ordinal, value in memo.items():
+            assert value == fresh._string_value(col, ordinal)
+            checked += 1
+    assert checked > 0

@@ -91,6 +91,19 @@ class TestKvLedger:
         assert ledger.resident_tokens == 130
         assert ledger.overflow_tokens == 30
 
+    def test_forced_tokens_past_budget_count_once(self):
+        ledger = KvLedger(100, 10.0)
+        ledger.force_reserve(90)    # under budget: no overflow
+        assert ledger.overflow_tokens == 0
+        ledger.force_reserve(20)    # 10 of its tokens land past 100
+        assert ledger.overflow_tokens == 10
+        ledger.force_reserve(5)     # already over: all 5 are overflow
+        assert ledger.overflow_tokens == 15
+        assert ledger.resident_tokens == ledger.peak_tokens == 115
+        ledger.release(20)
+        ledger.force_reserve(3)     # back under budget after a release
+        assert ledger.overflow_tokens == 15
+
     def test_over_release_raises(self):
         ledger = KvLedger(100, 10.0)
         with pytest.raises(ValueError):
@@ -215,7 +228,8 @@ class TestTightKvStep:
             prefix_lookups=0, prefix_hits=0,
         )
         assert replica.kv.peak_tokens == 89
-        assert replica.kv.overflow_tokens == 435
+        # Every token past the 60-token budget counted once: 89 - 60.
+        assert replica.kv.overflow_tokens == 29
         assert replica.kv.resident_tokens == 0
         assert harness.env._seq == 260
 

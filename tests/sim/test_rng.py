@@ -105,6 +105,22 @@ class TestZipfSampler:
         assert all(b >= a for a, b in zip(cdf, cdf[1:]))
 
 
+@pytest.mark.parametrize("n", [1, 64, 2000, 200_000])
+@pytest.mark.parametrize("s", [0.0, 0.7, 0.99, 1.3])
+def test_zipf_cdf_equals_the_loop_reference(n, s):
+    """The ``accumulate`` CDF is the sequential float sum, bit for bit."""
+    weights = [1.0 / (rank ** s) for rank in range(1, n + 1)]
+    total = sum(weights)
+    expected = []
+    acc = 0.0
+    for w in weights:
+        acc += w / total
+        expected.append(acc)
+    expected[-1] = 1.0
+    ZipfSampler._CDF_MEMO.pop((n, s), None)
+    assert ZipfSampler(n, s)._cdf == expected
+
+
 class TestEmpiricalDistribution:
     def test_sampling_respects_weights(self):
         dist = EmpiricalDistribution([10.0, 20.0], [0.9, 0.1])

@@ -1,7 +1,7 @@
 """Memoized setup phases must be invisible in results.
 
 TaoBench memoizes its cache pre-warm and StorageBench its LSM prefill;
-FeedSim applies the same pattern to its SLO-search operating point.
+FeedSim applies the same pattern to its SLO-search measurement.
 Any memo replaying instead of recomputing must leave the report
 byte-identical, and a run on a restored image must never write
 through into the shared snapshot.
@@ -11,6 +11,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import repro
 from repro.cachelib.lru import LruCache
@@ -200,3 +202,175 @@ class TestFeedsimSearchMemo:
         wl = feedsim.FeedSim(chars=chars)
         assert wl._memo_key(RunConfig()) is None
         assert feedsim._SEARCH_MEMO == {}
+
+
+class TestTaoOnePassFill:
+    """The one-pass fill is the ``backend_fetch`` + ``set`` loop it
+    replaced: same image, same counters, same RNG end state."""
+
+    @staticmethod
+    def _streams():
+        from repro.sim.rng import RngStreams
+
+        return RngStreams(11).spawn("taobench")
+
+    def test_fill_matches_the_set_loop(self):
+        from repro.cachelib.memcached import MemcachedServer
+        from repro.sim.rng import lognormal_sampler
+
+        sampler = lognormal_sampler(
+            taobench.MEAN_OBJECT_BYTES, taobench.OBJECT_SIZE_CV
+        )
+        ref_rng = self._streams().stream("object-sizes")
+        reference = MemcachedServer(capacity_bytes=taobench.CACHE_CAPACITY_BYTES)
+        rank = 1
+        while (
+            reference.cache.used_bytes < 0.97 * taobench.CACHE_CAPACITY_BYTES
+            and rank <= taobench.KEY_SPACE
+        ):
+            key = f"tao:{rank}"
+            size = int(max(16, min(4096, sampler.sample(ref_rng))))
+            reference.set(key, key.encode("utf-8").ljust(size, b"x")[:size])
+            rank += 1
+
+        rng = self._streams().stream("object-sizes")
+        server = MemcachedServer(capacity_bytes=taobench.CACHE_CAPACITY_BYTES)
+        snapshot = server.build_snapshot(taobench._warm_items(rng, sampler))
+        server.cache.restore(snapshot)
+
+        def image(cache):
+            return [
+                (k, e.value, e.size, e.expires_at)
+                for k, e in cache._entries.items()
+            ]
+
+        assert len(snapshot.entries) == rank - 1 > 50_000
+        assert image(server.cache) == image(reference.cache)
+        assert snapshot.used_bytes == reference.cache.used_bytes
+        assert server.cache.used_bytes == reference.cache.used_bytes
+        assert snapshot.sets == reference.cache.stats.sets == rank - 1
+        assert server.cache.stats == reference.cache.stats
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_invalid_key_still_raises(self):
+        from repro.cachelib.memcached import MemcachedError, MemcachedServer
+
+        server = MemcachedServer(capacity_bytes=1024)
+        with pytest.raises(MemcachedError):
+            server.build_snapshot([("tao:1", b"a"), ("tao 2", b"b")])
+        with pytest.raises(MemcachedError):
+            server.build_snapshot([("k" * 251, b"a")])
+
+
+_SLO_EXTRAS = ("slo_met", "slo_max_rps", "slo_probes", "slo_p95_seconds")
+
+
+def _fresh_feedsim_run(config, offered_rps):
+    """A new harness at ``offered_rps``: what FeedSim used to re-run."""
+    from repro.workloads.runner import BenchmarkHarness
+
+    wl = feedsim.FeedSim()
+    harness = BenchmarkHarness(config, wl.characteristics)
+    handler = wl._build_handler(harness)
+    return harness.run_open_loop(handler, offered_rps=offered_rps).as_dict()
+
+
+def _without_slo_extras(payload):
+    extra = payload["extra"]
+    return {
+        **payload,
+        "extra": {k: v for k, v in extra.items() if k not in _SLO_EXTRAS},
+    }
+
+
+def _feedsim_config(**overrides):
+    """A point whose SLO search bisects (7 probes at seed 7 on SKU1)."""
+    fields = dict(benchmark="feedsim", sku="SKU1", seed=7,
+                  measure_seconds=1.0, warmup_seconds=0.2, early_stop=False)
+    fields.update(overrides)
+    return RunPoint(**fields).run_config()
+
+
+class TestFeedsimReportsBestProbe:
+    """FeedSim reports its best probe's run; it must equal a fresh run
+    at the operating rate, field for field."""
+
+    def _check(self, config):
+        reported = feedsim.FeedSim().run(config).as_dict()
+        rate = reported["extra"]["slo_max_rps"]
+        assert reported["extra"]["slo_met"] == 1.0
+        assert _without_slo_extras(reported) == _fresh_feedsim_run(config, rate)
+        return reported
+
+    def test_search_path(self):
+        feedsim._SEARCH_MEMO.clear()
+        reported = self._check(_feedsim_config())
+        assert reported["extra"]["slo_probes"] > 2  # bisected
+
+    def test_high_probe_meets_the_slo(self):
+        # Short windows: the search's upper probe already meets the SLO
+        # and is returned without bisecting.
+        feedsim._SEARCH_MEMO.clear()
+        reported = self._check(_feedsim_config(
+            sku="SKU2", seed=11, measure_seconds=0.2, warmup_seconds=0.05,
+        ))
+        assert reported["extra"]["slo_probes"] == 2
+
+    def test_memo_hit_path(self):
+        feedsim._SEARCH_MEMO.clear()
+        config = _feedsim_config()
+        first = self._check(config)
+        assert len(feedsim._SEARCH_MEMO) == 1
+        (stored,) = feedsim._SEARCH_MEMO.values()
+        again = feedsim.FeedSim().run(config)
+        again.extra["mutated"] = 1.0  # a caller annotating its copy
+        assert "mutated" not in stored.extra
+        assert self._check(config) == first
+
+    def test_faulted_point(self):
+        feedsim._SEARCH_MEMO.clear()
+        reported = self._check(_feedsim_config(
+            sku="SKU2", seed=11, measure_seconds=0.3, warmup_seconds=0.1,
+            faults="blackout",
+        ))
+        assert reported["extra"]["slo_probes"] > 2
+
+    def test_shard_sub_run(self):
+        feedsim._SEARCH_MEMO.clear()
+        self._check(_feedsim_config(shards=2, shard_index=1))
+
+    def test_unmeetable_slo_reports_a_fresh_floor_run(self, monkeypatch):
+        def unmeetable(self, config):
+            raise ValueError("the SLO cannot be met")
+
+        monkeypatch.setattr(feedsim.FeedSim, "search", unmeetable)
+        feedsim._SEARCH_MEMO.clear()
+        config = _feedsim_config()
+        reported = feedsim.FeedSim().run(config).as_dict()
+        feedsim._SEARCH_MEMO.clear()
+        assert reported["extra"]["slo_met"] == 0.0
+        assert "slo_probes" not in reported["extra"]
+        rate = reported["extra"]["slo_max_rps"]
+        assert _without_slo_extras(reported) == _fresh_feedsim_run(config, rate)
+
+
+def test_sparkbench_run_validates_only_its_own_seed():
+    """``Benchmark.run`` no longer installs, so a fresh process holds
+    no table for the default (2025) validation seed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    script = (
+        "from repro.core.benchmark import Benchmark\n"
+        "from repro.workloads import sparkbench\n"
+        "from repro.workloads.base import RunConfig\n"
+        "Benchmark.by_name('sparkbench').run(RunConfig(\n"
+        "    seed=7, measure_seconds=0.05, warmup_seconds=0.02))\n"
+        "print(sorted(sparkbench._FACT_MEMO), sorted(sparkbench._QUERY_MEMO))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src, DCPERF_CACHE="0"),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[7] [7]"

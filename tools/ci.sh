@@ -436,6 +436,9 @@ print("schedule smoke ok: cold and warm-ledger LPT sweeps byte-identical, "
       f"ledger holds {len(sidecar['by_fingerprint'])} fingerprint(s)")
 EOF
 
+echo "== perfbench harness tests (a src/ change must not break the benchmark) =="
+python -m pytest -x -q perfbench/tests
+
 echo "== engine perf smoke (vs BENCH_engine.json quick baseline) =="
 python tools/bench_engine.py --quick --repeat 3 --check BENCH_engine.json
 
